@@ -26,6 +26,7 @@ from .nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     Mlp,
+    chunks,
     split_policy_head,
     squashed_gaussian_backward,
     squashed_gaussian_sample,
@@ -121,14 +122,15 @@ class AgentHyperparams:
 
 def polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
     """target <- tau * online + (1 - tau) * target, elementwise."""
-    t_params, o_params = target.parameters(), online.parameters()
-    if len(t_params) != len(o_params):
+    if (target.sizes, target.layer_norm) != (online.sizes, online.layer_norm):
         raise ValueError("networks have different parameter structures")
-    for t, o in zip(t_params, o_params):
-        if t.shape != o.shape:
-            raise ValueError("parameter shapes differ")
-        t *= 1.0 - tau
-        t += tau * o
+    t, o = target.flat, online.flat
+    keep = 1.0 - tau
+    for s, a, _ in chunks(t.size):
+        tc = t[s]
+        tc *= keep
+        np.multiply(o[s], tau, out=a)
+        tc += a
 
 
 def exploration_noise_scale(t: int, noise_std: float, noise_decay: float) -> float:
@@ -240,7 +242,8 @@ class DdpgAgent:
         q2, q_cache = self.critic.forward(_critic_input(batch.states, actions),
                                           train=True)
         actor_loss = float(-np.mean(q2[:, 0]))
-        _, dinput = self.critic.backward(q_cache, np.full((b, 1), -1.0 / b))
+        _, dinput = self.critic.backward(q_cache, np.full((b, 1), -1.0 / b),
+                                         input_only=True)
         actor_grads, _ = self.actor.backward(actor_cache, dinput[:, self.state_dim:])
         self.actor.adam_step(actor_grads, self.schedule.actor_lr)
 
@@ -319,7 +322,8 @@ class Td3Agent:
             q, q_cache = self.critics[0].forward(_critic_input(batch.states, actions),
                                                  train=True)
             losses["actor_loss"] = float(-np.mean(q[:, 0]))
-            _, dinput = self.critics[0].backward(q_cache, np.full((b, 1), -1.0 / b))
+            _, dinput = self.critics[0].backward(q_cache, np.full((b, 1), -1.0 / b),
+                                                 input_only=True)
             actor_grads, _ = self.actor.backward(actor_cache, dinput[:, self.state_dim:])
             self.actor.adam_step(actor_grads, self.schedule.actor_lr)
             for ct, c in zip(self.critic_targets, self.critics):
@@ -415,8 +419,8 @@ class SacAgent:
         # Gradient of -mean(min(Q1, Q2)) w.r.t. the action: rows route to
         # whichever critic attains the minimum.
         pick1 = (q1[:, 0] <= q2[:, 0]).astype(float)[:, None]
-        _, din1 = self.critics[0].backward(c1, -pick1 / b)
-        _, din2 = self.critics[1].backward(c2, -(1.0 - pick1) / b)
+        _, din1 = self.critics[0].backward(c1, -pick1 / b, input_only=True)
+        _, din2 = self.critics[1].backward(c2, -(1.0 - pick1) / b, input_only=True)
         grad_action = din1[:, self.state_dim:] + din2[:, self.state_dim:]
         grad_logp = np.full(b, alpha / b)
         dmean, dlog_std = squashed_gaussian_backward(mean, log_std, sample.noise,
@@ -504,14 +508,8 @@ def load_checkpoint(path):
     nets = _agent_nets(agent)
     pos = newline + 1
     for name, size in zip(header["nets"], header["net_bytes"]):
-        loaded = Mlp.load_bytes(blob[pos:pos + size])
+        nets[name].load_state(Mlp.load_bytes(blob[pos:pos + size]))
         pos += size
-        target = nets[name]
-        target.weights = loaded.weights
-        target.biases = loaded.biases
-        target.ln_gain = loaded.ln_gain
-        target.ln_offset = loaded.ln_offset
-        target.adam = loaded.adam
     if pos != len(blob):
         raise ValueError("checkpoint payload does not match its header")
     sched = header["schedule"]

@@ -161,8 +161,8 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
     y = received_pulse(ch, reflection, 0.0, sample_period=env.sample_period)
     trace.initial_objective = pulse_objective(y)
     trace.initial_objective_norm = pulse_objective_norm(y)
+    obj_norm = trace.initial_objective_norm
     for _ in range(cfg.max_iters):
-        obj_norm = pulse_objective_norm(y)
         if obj_norm > best_norm:
             best_norm = obj_norm
         reflection = normalize_reflection(
@@ -183,6 +183,7 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
         trace.step_sizes.append(step)
         trace.iterations += 1
         y = y_next
+        obj_norm = obj_norm_next
         if quiet_count >= 10:
             trace.converged = True
             break

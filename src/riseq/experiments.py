@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -57,6 +58,17 @@ class ScenarioConfig:
             raise ConfigError("run.episodes: must be >= 1")
         if self.seed < 0:
             raise ConfigError("run.seed: must be >= 0")
+        if self.move_ue:
+            # Every walk step must end inside the box, so a user who starts
+            # more than one step outside it can never take one.
+            xmin, ymin, xmax, ymax = self.episode.walk_bounds
+            x, y = self.geometry.ue_pos
+            outside = math.hypot(max(xmin - x, 0.0, x - xmax), max(ymin - y, 0.0, y - ymax))
+            if outside > self.episode.walk_max_step:
+                raise ConfigError(
+                    f"geometry.ue_pos: the user at ({x:g}, {y:g}) starts {outside:g} m "
+                    f"outside episode.walk_bounds, farther than one walk step "
+                    f"(episode.walk_max_step = {self.episode.walk_max_step:g} m)")
 
 
 @dataclass

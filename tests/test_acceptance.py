@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The learning criterion
-(number 8) dominates the runtime; everything else finishes in seconds.
+(number 8) dominates the runtime and is marked ``slow``; everything else
+finishes in seconds, and ``pytest -m "not slow"`` runs all but criterion 8.
 """
 
 import time
@@ -272,6 +273,7 @@ def _final_200_mean(algorithm, seed):
     return float(np.mean(tail))
 
 
+@pytest.mark.slow
 def test_criterion_8_sac_desk_scale_learning():
     started = time.time()
     sac_scores, ddpg_scores = [], []

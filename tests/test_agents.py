@@ -111,6 +111,19 @@ class TestPolyak:
         polyak_update(a, b, 0.001)
         assert a.weights[0][0, 0] == pytest.approx(0.002, rel=1e-12)
 
+    def test_matches_elementwise_formula(self):
+        # several chunks of the flat vectors, the last one partial
+        target, online = (Mlp(rng(s), [6, 200, 200, 4], layer_norm=True) for s in (13, 14))
+        expected = [0.01 * o + (1 - 0.01) * t
+                    for t, o in zip(target.parameters(), online.parameters())]
+        polyak_update(target, online, 0.01)
+        for got, want in zip(target.parameters(), expected):
+            assert np.array_equal(got, want)
+
+    def test_structure_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            polyak_update(Mlp(rng(15), [3, 4, 2]), Mlp(rng(16), [3, 5, 2]), 0.1)
+
     def test_closed_form_after_k_frozen_updates(self):
         target, online = Mlp(rng(11), [3, 4, 2]), Mlp(rng(12), [3, 4, 2])
         t0 = [p.copy() for p in target.parameters()]
@@ -449,6 +462,17 @@ class TestCheckpoints:
         loaded.update(random_batch(4, 4, 2, seed=300), rng(92))
         for na, nb in zip(agent.actor.parameters(), loaded.actor.parameters()):
             assert np.array_equal(na, nb)
+
+    @pytest.mark.parametrize("cls", [DdpgAgent, Td3Agent, SacAgent])
+    def test_update_after_load_moves_weights(self, cls, tmp_path):
+        agent = cls(4, 2, AgentHyperparams(hidden_width=8), rng(94))
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(agent, path)
+        loaded = load_checkpoint(path)
+        before = loaded.actor.weights[0].copy()
+        loaded.update(random_batch(4, 4, 2, seed=301), rng(95))
+        assert not np.array_equal(loaded.actor.weights[0], before)
+        assert np.shares_memory(loaded.actor.weights[0], loaded.actor.flat)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         agent = SacAgent(4, 2, AgentHyperparams(hidden_width=8), rng(93))

@@ -293,6 +293,19 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(bad),
                          "--out", str(tmp_path / "x")]) == 1
 
+    def test_unreachable_walk_box_exit_code(self, tmp_path, capsys):
+        # 30 m right of the box: no walk step (at most 20 m) can reach it
+        cfg = desk_config(geometry=Geometry(n_elements=8, ue_pos=(20.0, 50.0)),
+                          move_ue=False)
+        text = render_config(cfg).replace("move_ue = false", "move_ue = true")
+        bad = tmp_path / "walk.ini"
+        bad.write_text(text)
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: geometry.ue_pos") and err.count("\n") == 1
+        assert "(20, 50)" in err and "30 m" in err and "walk_max_step = 20 m" in err
+
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "nope.ini"),
                          "--out", str(tmp_path / "y")]) == 1

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from riseq.nets import (
+    CHUNK,
     Adam,
     LOG_STD_MAX,
     LOG_STD_MIN,
     Mlp,
-    gaussian_policy_sample,
     split_policy_head,
     squashed_gaussian_backward,
     squashed_gaussian_sample,
@@ -136,6 +138,19 @@ class TestBackward:
         with pytest.raises(ValueError):
             net.backward(None, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_input_only_gives_the_same_input_gradient(self, layer_norm):
+        net = Mlp(rng(18), [6, 8, 8, 1], layer_norm=layer_norm, output="tanh")
+        _, cache = net.forward(rng(19).normal(size=(4, 6)), train=True)
+        g = rng(20).normal(size=(4, 1))
+        grads, dx = net.backward(cache, g)
+        kept = [a.copy() for a in grads]
+        skipped, dx_only = net.backward(cache, g, input_only=True)
+        assert skipped is None
+        assert np.array_equal(dx_only, dx)
+        # the gradient buffer is left as the full pass wrote it
+        assert all(np.array_equal(a, b) for a, b in zip(grads, kept))
+
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
@@ -172,6 +187,36 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step([w, w], [np.array([1.0])], lr=0.1)
 
+    def test_non_contiguous_parameters_rejected(self):
+        w = np.zeros(4)
+        opt = Adam([w[::2]])
+        with pytest.raises(ValueError):
+            opt.step([w[::2]], [np.ones(2)], lr=0.1)
+
+    def test_flat_step_matches_per_array_formula(self):
+        # several chunks, the last one partial
+        net = Mlp(rng(40), [6, 200, 200, 4], layer_norm=True, output="tanh")
+        assert net.flat.size > CHUNK and net.flat.size % CHUNK != 0
+        params = [p.copy() for p in net.parameters()]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        data = rng(41)
+        for t in range(1, 6):
+            y, cache = net.forward(data.normal(size=(3, 6)), train=True)
+            grads, _ = net.backward(cache, y - 0.5)
+            # the per-array update the engine made before flat storage
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= 0.9
+                mi += (1.0 - 0.9) * g
+                vi *= 0.999
+                vi += (1.0 - 0.999) * g * g
+                p -= 1e-3 * (mi / c1) / (np.sqrt(vi / c2) + 1e-8)
+            net.adam_step(grads, 1e-3)
+        for got, want in zip((*net.parameters(), *net.adam.m, *net.adam.v),
+                             (*params, *m, *v)):
+            assert np.array_equal(got, want)
+
 
 class TestPolicyHead:
     def test_split_and_clamp(self):
@@ -183,7 +228,7 @@ class TestPolicyHead:
     def test_collapsed_gaussian_near_zero_action(self):
         mean = np.zeros((1, 4))
         log_std = np.full((1, 4), -20.0)
-        action, _ = gaussian_policy_sample(mean[0], log_std[0], rng(20))
+        action = squashed_gaussian_sample(mean, log_std, rng(20)).action
         assert np.max(np.abs(action)) < 1e-7
 
     def test_actions_strictly_inside_unit_box(self):
@@ -191,7 +236,7 @@ class TestPolicyHead:
         for _ in range(200):
             mean = r.normal(size=6)
             log_std = r.uniform(-2, 0.5, size=6)
-            action, _ = gaussian_policy_sample(mean, log_std, r)
+            action = squashed_gaussian_sample(mean, log_std, r).action
             assert np.all(np.abs(action) < 1.0)
 
     def test_saturated_actions_never_leave_box(self):
@@ -199,7 +244,7 @@ class TestPolicyHead:
         for _ in range(100):
             mean = r.normal(size=6) * 50
             log_std = r.uniform(-2, 2, size=6)
-            action, _ = gaussian_policy_sample(mean, log_std, r)
+            action = squashed_gaussian_sample(mean, log_std, r).action
             assert np.all(np.abs(action) <= 1.0)
 
     def test_log_prob_matches_direct_evaluation(self):
@@ -277,11 +322,34 @@ class TestDeterminismAndCopy:
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
+    def test_parameters_are_views_of_the_flat_vector(self):
+        net = Mlp(rng(42), [4, 8, 8, 2], layer_norm=True)
+        net.flat[:] = np.arange(net.flat.size)
+        params = net.parameters()
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+        assert [p.shape for p in params] == [(4, 8), (8,), (8,), (8,), (8, 8), (8,),
+                                             (8,), (8,), (8, 2), (2,)]
+        grouped = (*net.weights, *net.biases, *net.ln_gain, *net.ln_offset)
+        assert len(grouped) == len(params)
+        assert all(any(g is p for p in params) for g in grouped)
+        net.ln_offset[1][...] = -1.0
+        assert np.all(net.flat[136:144] == -1.0)
+
     def test_copy_is_independent(self):
         net = Mlp(rng(25), [4, 8, 2])
+        y, cache = net.forward(rng(43).normal(size=(3, 4)), train=True)
+        net.adam_step(net.backward(cache, y)[0], 1e-3)
         twin = net.copy()
+        assert twin.adam.t == net.adam.t == 1
+        for a, b in ((twin.flat, net.flat), (twin.adam.m.flat, net.adam.m.flat),
+                     (twin.adam.v.flat, net.adam.v.flat)):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
         net.weights[0][0, 0] += 1.0
+        net.adam.m[0][0, 0] += 1.0
+        net.adam.v[0][0, 0] += 1.0
         assert twin.weights[0][0, 0] != net.weights[0][0, 0]
+        assert twin.adam.m[0][0, 0] != net.adam.m[0][0, 0]
+        assert twin.adam.v[0][0, 0] != net.adam.v[0][0, 0]
 
     def test_parameters_finite_after_training(self):
         net = Mlp(rng(26), [4, 16, 16, 2])
@@ -314,6 +382,22 @@ class TestSerialization:
             assert np.array_equal(ma, mb)
         x = rng(30).normal(size=(2, 6))
         assert np.array_equal(net.forward(x), loaded.forward(x))
+
+    def test_snapshot_layout(self):
+        net = Mlp(rng(32), [3, 5, 5, 2], layer_norm=True, output="tanh")
+        y, cache = net.forward(rng(33).normal(size=(2, 3)), train=True)
+        net.adam_step(net.backward(cache, y)[0], 1e-3)
+        header = {"sizes": [3, 5, 5, 2], "std": 0.1, "layer_norm": True,
+                  "output": "tanh", "adam_t": 1}
+        blob = json.dumps(header).encode() + b"\n" + b"".join(
+            np.asarray(a, dtype="<f8").tobytes()
+            for a in (*net.parameters(), *net.adam.m, *net.adam.v))
+        assert net.save_bytes() == blob
+        loaded = Mlp.load_bytes(blob)
+        assert loaded.adam.t == 1
+        for a, b in ((loaded.flat, net.flat), (loaded.adam.m.flat, net.adam.m.flat),
+                     (loaded.adam.v.flat, net.adam.v.flat)):
+            assert np.array_equal(a, b)
 
     def test_corrupt_payload_rejected(self):
         net = Mlp(rng(31), [3, 4, 2])
