@@ -16,8 +16,9 @@ local optima. TD3 and SAC keep their weights across episodes.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -104,13 +105,15 @@ class AgentHyperparams:
     temperature_lr: float = 1e-3
     polyak: float = 0.001
     discount: float = 0.99
-    reward_scale: float = 100.0
     hidden_width: int = 512
     init_std: float = 0.1
     init_temperature: float = 0.75
     ddpg_layer_norm: bool = True
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
         if not 0 < self.polyak <= 1:
@@ -118,6 +121,10 @@ class AgentHyperparams:
         for name in ("n_train", "batch_size", "buffer_size", "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch_size > self.buffer_size:
+            raise ValueError("batch_size must not exceed buffer_size, or no update runs")
+        if self.init_temperature <= 0:
+            raise ValueError("init_temperature must be positive")
 
 
 def polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
@@ -185,19 +192,73 @@ def _critic_input(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.concatenate([states, actions], axis=1)
 
 
-class DdpgAgent:
+def _regress(critic: Mlp, x: np.ndarray, target: np.ndarray, lr: float) -> float:
+    """One Adam step of ``critic`` toward ``target``; returns the MSE before it."""
+    q, cache = critic.forward(x, train=True)
+    residual = q[:, 0] - target
+    grads, _ = critic.backward(cache, (2.0 * residual / target.size)[:, None])
+    critic.adam_step(grads, lr)
+    return float(np.mean(residual**2))
+
+
+def _ascend(actor: Mlp, critic: Mlp, states: np.ndarray, lr: float) -> float:
+    """One Adam step of an actor up ``critic``'s value; returns -mean Q before it."""
+    b, state_dim = states.shape
+    actions, actor_cache = actor.forward(states, train=True)
+    q, q_cache = critic.forward(_critic_input(states, actions), train=True)
+    _, dinput = critic.backward(q_cache, np.full((b, 1), -1.0 / b), input_only=True)
+    grads, _ = actor.backward(actor_cache, dinput[:, state_dim:])
+    actor.adam_step(grads, lr)
+    return float(-np.mean(q[:, 0]))
+
+
+def _twin_min(critics: list[Mlp], x: np.ndarray) -> np.ndarray:
+    """Elementwise minimum of the twin critics' values: the clipped bootstrap."""
+    return np.minimum(critics[0].forward(x)[:, 0], critics[1].forward(x)[:, 0])
+
+
+class _Agent:
+    """Dimensions, constants, replay buffer and schedule of every agent. Each
+    agent names ``reset_episode``, ``select_action`` and ``update`` in its own
+    class body, where ``bench/tracer.py`` wraps them."""
+
+    def __init__(self, state_dim: int, action_dim: int, hp: AgentHyperparams,
+                 actor_lr: float):
+        self.state_dim = state_dim
+        self.action_dim = action_dim
+        self.hp = hp
+        self._actor_lr = actor_lr
+        self.buffer = ReplayBuffer(hp.buffer_size)
+        self._new_episode()
+
+    def _new_episode(self) -> None:
+        """Empty the replay buffer and restart the adaptive schedule."""
+        self.buffer.clear()
+        self.schedule = ScheduleState(actor_lr=self._actor_lr, n_train=self.hp.n_train)
+
+    def _noisy_target_action(self, state: np.ndarray, t: int,
+                             rng: np.random.Generator) -> np.ndarray:
+        """Target-actor action plus decaying Gaussian noise, clipped to the box."""
+        scale = exploration_noise_scale(t, self.hp.noise_std, self.hp.noise_decay)
+        a = self.actor_target.forward(state)
+        return np.clip(a + scale * rng.standard_normal(self.action_dim), -1.0, 1.0)
+
+    def _fit_twins(self, batch: Batch, target: np.ndarray) -> dict:
+        """Regress both twin critics toward one target; returns their losses."""
+        x = _critic_input(batch.states, batch.actions)
+        return {f"critic{i + 1}_loss": _regress(c, x, target, self.hp.critic_lr)
+                for i, c in enumerate(self.critics)}
+
+
+class DdpgAgent(_Agent):
     """Deterministic policy gradient with target networks and layer norm."""
 
     name = "ddpg"
 
     def __init__(self, state_dim: int, action_dim: int, hp: AgentHyperparams,
                  rng: np.random.Generator):
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.hp = hp
+        super().__init__(state_dim, action_dim, hp, hp.ddpg_actor_lr)
         self._build(rng)
-        self.schedule = ScheduleState(actor_lr=hp.ddpg_actor_lr, n_train=hp.n_train)
-        self.buffer = ReplayBuffer(hp.buffer_size)
 
     def _build(self, rng: np.random.Generator) -> None:
         hp, h = self.hp, self.hp.hidden_width
@@ -208,18 +269,17 @@ class DdpgAgent:
         self.actor_target = self.actor.copy()
         self.critic_target = self.critic.copy()
 
+    def networks(self) -> dict[str, Mlp]:
+        """Checkpointed networks, by name, in snapshot order."""
+        return {"actor": self.actor, "critic": self.critic,
+                "actor_target": self.actor_target, "critic_target": self.critic_target}
+
     def reset_episode(self, rng: np.random.Generator) -> None:
         """Fresh buffer and schedule; weights are re-randomized as well."""
-        self.buffer.clear()
-        self.schedule = ScheduleState(actor_lr=self.hp.ddpg_actor_lr,
-                                      n_train=self.hp.n_train)
+        self._new_episode()
         self._build(rng)
 
-    def select_action(self, state: np.ndarray, t: int,
-                      rng: np.random.Generator) -> np.ndarray:
-        scale = exploration_noise_scale(t, self.hp.noise_std, self.hp.noise_decay)
-        a = self.actor_target.forward(state)
-        return np.clip(a + scale * rng.standard_normal(self.action_dim), -1.0, 1.0)
+    select_action = _Agent._noisy_target_action
 
     def critic_target_values(self, batch: Batch, discount: float | None = None) -> np.ndarray:
         gamma = self.hp.discount if discount is None else discount
@@ -228,40 +288,24 @@ class DdpgAgent:
         return batch.rewards + gamma * q_next
 
     def update(self, batch: Batch, rng: np.random.Generator | None = None) -> dict:
-        b = len(batch)
-        target = self.critic_target_values(batch)
-        q, cache = self.critic.forward(_critic_input(batch.states, batch.actions),
-                                       train=True)
-        residual = q[:, 0] - target
-        critic_loss = float(np.mean(residual**2))
-        grads, _ = self.critic.backward(cache, (2.0 * residual / b)[:, None])
-        self.critic.adam_step(grads, self.hp.critic_lr)
-
-        # Ascend the (freshly updated) critic through its action input.
-        actions, actor_cache = self.actor.forward(batch.states, train=True)
-        q2, q_cache = self.critic.forward(_critic_input(batch.states, actions),
-                                          train=True)
-        actor_loss = float(-np.mean(q2[:, 0]))
-        _, dinput = self.critic.backward(q_cache, np.full((b, 1), -1.0 / b),
-                                         input_only=True)
-        actor_grads, _ = self.actor.backward(actor_cache, dinput[:, self.state_dim:])
-        self.actor.adam_step(actor_grads, self.schedule.actor_lr)
-
+        x = _critic_input(batch.states, batch.actions)
+        critic_loss = _regress(self.critic, x, self.critic_target_values(batch),
+                               self.hp.critic_lr)
+        # Ascend the freshly updated critic.
+        actor_loss = _ascend(self.actor, self.critic, batch.states, self.schedule.actor_lr)
         polyak_update(self.critic_target, self.critic, self.hp.polyak)
         polyak_update(self.actor_target, self.actor, self.hp.polyak)
         return {"critic_loss": critic_loss, "actor_loss": actor_loss}
 
 
-class Td3Agent:
+class Td3Agent(_Agent):
     """Twin critics, smoothed bootstrap targets, delayed policy updates."""
 
     name = "td3"
 
     def __init__(self, state_dim: int, action_dim: int, hp: AgentHyperparams,
                  rng: np.random.Generator):
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.hp = hp
+        super().__init__(state_dim, action_dim, hp, hp.actor_lr)
         h = hp.hidden_width
         self.actor = Mlp(rng, [state_dim, h, h, action_dim], std=hp.init_std,
                          output="tanh")
@@ -269,20 +313,20 @@ class Td3Agent:
                         for _ in range(2)]
         self.actor_target = self.actor.copy()
         self.critic_targets = [c.copy() for c in self.critics]
-        self.schedule = ScheduleState(actor_lr=hp.actor_lr, n_train=hp.n_train)
-        self.buffer = ReplayBuffer(hp.buffer_size)
         self.train_iter = 0
+
+    def networks(self) -> dict[str, Mlp]:
+        """Checkpointed networks, by name, in snapshot order."""
+        c, t = self.critics, self.critic_targets
+        return {"actor": self.actor, "critic1": c[0], "critic2": c[1],
+                "actor_target": self.actor_target,
+                "critic_target1": t[0], "critic_target2": t[1]}
 
     def reset_episode(self, rng: np.random.Generator) -> None:
         """Fresh buffer and schedule; network weights persist."""
-        self.buffer.clear()
-        self.schedule = ScheduleState(actor_lr=self.hp.actor_lr, n_train=self.hp.n_train)
+        self._new_episode()
 
-    def select_action(self, state: np.ndarray, t: int,
-                      rng: np.random.Generator) -> np.ndarray:
-        scale = exploration_noise_scale(t, self.hp.noise_std, self.hp.noise_decay)
-        a = self.actor_target.forward(state)
-        return np.clip(a + scale * rng.standard_normal(self.action_dim), -1.0, 1.0)
+    select_action = _Agent._noisy_target_action
 
     def smoothed_target_action(self, next_states: np.ndarray,
                                rng: np.random.Generator) -> np.ndarray:
@@ -296,9 +340,7 @@ class Td3Agent:
                              discount: float | None = None) -> np.ndarray:
         gamma = self.hp.discount if discount is None else discount
         next_a = self.smoothed_target_action(batch.next_states, rng)
-        x = _critic_input(batch.next_states, next_a)
-        q_next = np.minimum(self.critic_targets[0].forward(x)[:, 0],
-                            self.critic_targets[1].forward(x)[:, 0])
+        q_next = _twin_min(self.critic_targets, _critic_input(batch.next_states, next_a))
         return batch.rewards + gamma * q_next
 
     def update(self, batch: Batch, rng: np.random.Generator,
@@ -306,53 +348,32 @@ class Td3Agent:
         """One training iteration; the actor and targets move only when
         the (zero-based) iteration index is a multiple of the delay."""
         it = self.train_iter if train_iter is None else train_iter
-        b = len(batch)
-        target = self.critic_target_values(batch, rng)
-        losses = {}
-        x = _critic_input(batch.states, batch.actions)
-        for i, critic in enumerate(self.critics):
-            q, cache = critic.forward(x, train=True)
-            residual = q[:, 0] - target
-            losses[f"critic{i + 1}_loss"] = float(np.mean(residual**2))
-            grads, _ = critic.backward(cache, (2.0 * residual / b)[:, None])
-            critic.adam_step(grads, self.hp.critic_lr)
-
+        losses = self._fit_twins(batch, self.critic_target_values(batch, rng))
         if it % self.hp.policy_delay == 0:
-            actions, actor_cache = self.actor.forward(batch.states, train=True)
-            q, q_cache = self.critics[0].forward(_critic_input(batch.states, actions),
-                                                 train=True)
-            losses["actor_loss"] = float(-np.mean(q[:, 0]))
-            _, dinput = self.critics[0].backward(q_cache, np.full((b, 1), -1.0 / b),
-                                                 input_only=True)
-            actor_grads, _ = self.actor.backward(actor_cache, dinput[:, self.state_dim:])
-            self.actor.adam_step(actor_grads, self.schedule.actor_lr)
+            losses["actor_loss"] = _ascend(self.actor, self.critics[0], batch.states,
+                                           self.schedule.actor_lr)
             for ct, c in zip(self.critic_targets, self.critics):
                 polyak_update(ct, c, self.hp.polyak)
             polyak_update(self.actor_target, self.actor, self.hp.polyak)
-
         if train_iter is None:
             self.train_iter += 1
         return losses
 
 
-class SacAgent:
+class SacAgent(_Agent):
     """Soft actor-critic with twin critics and automatic temperature tuning."""
 
     name = "sac"
 
     def __init__(self, state_dim: int, action_dim: int, hp: AgentHyperparams,
                  rng: np.random.Generator):
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.hp = hp
+        super().__init__(state_dim, action_dim, hp, hp.actor_lr)
         h = hp.hidden_width
         self.actor = Mlp(rng, [state_dim, h, h, 2 * action_dim], std=hp.init_std)
         self.critics = [Mlp(rng, [state_dim + action_dim, h, h, 1], std=hp.init_std)
                         for _ in range(2)]
         self.critic_targets = [c.copy() for c in self.critics]
         self.log_alpha = float(np.log(hp.init_temperature))
-        self.schedule = ScheduleState(actor_lr=hp.actor_lr, n_train=hp.n_train)
-        self.buffer = ReplayBuffer(hp.buffer_size)
 
     @property
     def alpha(self) -> float:
@@ -363,10 +384,15 @@ class SacAgent:
         """Entropy target: minus the action dimension."""
         return -float(self.action_dim)
 
+    def networks(self) -> dict[str, Mlp]:
+        """Checkpointed networks, by name, in snapshot order."""
+        c, t = self.critics, self.critic_targets
+        return {"actor": self.actor, "critic1": c[0], "critic2": c[1],
+                "critic_target1": t[0], "critic_target2": t[1]}
+
     def reset_episode(self, rng: np.random.Generator) -> None:
         """Fresh buffer, schedule, and temperature; weights persist."""
-        self.buffer.clear()
-        self.schedule = ScheduleState(actor_lr=self.hp.actor_lr, n_train=self.hp.n_train)
+        self._new_episode()
         self.log_alpha = float(np.log(self.hp.init_temperature))
 
     def policy_head(self, states: np.ndarray, train: bool = False):
@@ -390,23 +416,14 @@ class SacAgent:
         a = self.alpha if alpha is None else alpha
         mean, log_std = self.policy_head(batch.next_states)
         sample = squashed_gaussian_sample(mean, log_std, rng)
-        x = _critic_input(batch.next_states, sample.action)
-        q_next = np.minimum(self.critic_targets[0].forward(x)[:, 0],
-                            self.critic_targets[1].forward(x)[:, 0])
+        q_next = _twin_min(self.critic_targets,
+                           _critic_input(batch.next_states, sample.action))
         return batch.rewards + gamma * (q_next - a * sample.log_prob)
 
     def update(self, batch: Batch, rng: np.random.Generator) -> dict:
         b = len(batch)
         alpha = self.alpha
-        target = self.critic_target_values(batch, rng)
-        losses = {}
-        x = _critic_input(batch.states, batch.actions)
-        for i, critic in enumerate(self.critics):
-            q, cache = critic.forward(x, train=True)
-            residual = q[:, 0] - target
-            losses[f"critic{i + 1}_loss"] = float(np.mean(residual**2))
-            grads, _ = critic.backward(cache, (2.0 * residual / b)[:, None])
-            critic.adam_step(grads, self.hp.critic_lr)
+        losses = self._fit_twins(batch, self.critic_target_values(batch, rng))
 
         # Actor: minimize alpha * log pi - min_i Q_i with a fresh sample.
         mean, log_std, raw, actor_cache = self.policy_head(batch.states, train=True)
@@ -446,23 +463,7 @@ class SacAgent:
         return losses
 
 
-def _agent_nets(agent) -> dict[str, Mlp]:
-    """Ordered name -> network mapping for checkpointing."""
-    if isinstance(agent, DdpgAgent):
-        return {"actor": agent.actor, "critic": agent.critic,
-                "actor_target": agent.actor_target,
-                "critic_target": agent.critic_target}
-    if isinstance(agent, Td3Agent):
-        return {"actor": agent.actor, "critic1": agent.critics[0],
-                "critic2": agent.critics[1], "actor_target": agent.actor_target,
-                "critic_target1": agent.critic_targets[0],
-                "critic_target2": agent.critic_targets[1]}
-    if isinstance(agent, SacAgent):
-        return {"actor": agent.actor, "critic1": agent.critics[0],
-                "critic2": agent.critics[1],
-                "critic_target1": agent.critic_targets[0],
-                "critic_target2": agent.critic_targets[1]}
-    raise TypeError(f"not a known agent: {type(agent).__name__}")
+AGENTS = {cls.name: cls for cls in (DdpgAgent, Td3Agent, SacAgent)}
 
 
 def save_checkpoint(agent, path) -> None:
@@ -473,7 +474,7 @@ def save_checkpoint(agent, path) -> None:
     then follows in the engine's snapshot format. Replay contents are not
     saved (the episode protocol clears them anyway).
     """
-    nets = _agent_nets(agent)
+    nets = agent.networks()
     blobs = [net.save_bytes() for net in nets.values()]
     header = {
         "algorithm": agent.name,
@@ -501,14 +502,19 @@ def load_checkpoint(path):
         blob = fh.read()
     newline = blob.index(b"\n")
     header = json.loads(blob[:newline].decode())
+    unknown = sorted(set(header["hyperparams"]) - {f.name for f in fields(AgentHyperparams)})
+    if unknown:
+        raise ValueError(f"checkpoint hyperparameters unknown to this version: {unknown}")
     hp = AgentHyperparams(**header["hyperparams"])
-    cls = {"ddpg": DdpgAgent, "td3": Td3Agent, "sac": SacAgent}[header["algorithm"]]
+    cls = AGENTS[header["algorithm"]]
     agent = cls(header["state_dim"], header["action_dim"], hp,
                 np.random.Generator(np.random.PCG64(0)))
-    nets = _agent_nets(agent)
+    nets = agent.networks()
+    if header["nets"] != list(nets):
+        raise ValueError(f"checkpoint networks {header['nets']} differ from {list(nets)}")
     pos = newline + 1
-    for name, size in zip(header["nets"], header["net_bytes"]):
-        nets[name].load_state(Mlp.load_bytes(blob[pos:pos + size]))
+    for net, size in zip(nets.values(), header["net_bytes"]):
+        net.load_state(Mlp.load_bytes(blob[pos:pos + size]))
         pos += size
     if pos != len(blob):
         raise ValueError("checkpoint payload does not match its header")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelRealization, received_pulse
-from .env import RisEnv, pulse_objective, pulse_objective_norm, sinr_db
+from .env import (RisEnv, _samples, normalize_objective, normalize_reflection,
+                  pulse_objective, pulse_objective_norm, sinr_db)
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,11 @@ class AriseTrace:
     initial_objective_norm: float = 0.0
 
 
-def normalize_reflection(reflection: np.ndarray) -> np.ndarray:
-    """Project onto unit magnitudes; exactly zero entries map to 1."""
-    mags = np.abs(reflection)
-    return np.where(mags > 0, reflection / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
-
-
 def _scaled_error(samples: np.ndarray, y_scale: float) -> np.ndarray:
     # Error against the unit pulse, with the received pulse scaled down to
     # the frozen target level.
+    if y_scale <= 0:
+        raise ValueError("y_scale must be positive")
     err = -samples / y_scale
     err[0] += 1.0
     return err
@@ -82,8 +79,6 @@ def _scaled_error(samples: np.ndarray, y_scale: float) -> np.ndarray:
 
 def cost(reflection, channel: ChannelRealization, y_scale: float) -> float:
     """Mean squared tap error of the scaled pulse against the unit pulse."""
-    if y_scale <= 0:
-        raise ValueError("y_scale must be positive")
     y = channel.direct + np.asarray(reflection, dtype=complex) @ channel.cascaded
     err = _scaled_error(y, y_scale)
     return float(np.mean(np.abs(err) ** 2))
@@ -92,8 +87,6 @@ def cost(reflection, channel: ChannelRealization, y_scale: float) -> float:
 def cost_gradient(reflection, channel: ChannelRealization,
                   y_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact cost gradient w.r.t. the real and imaginary coefficient parts."""
-    if y_scale <= 0:
-        raise ValueError("y_scale must be positive")
     y = channel.direct + np.asarray(reflection, dtype=complex) @ channel.cascaded
     err = _scaled_error(y, y_scale)
     # d(cost)/d(Gamma_m) = -(2 / y_scale) * mean_k conj(h_mk) err_k
@@ -109,10 +102,7 @@ def gradient_step(reflection, cascaded: np.ndarray, y, y_scale: float,
     update collapses to the mean of conj(cascaded tap) * error over taps.
     The result is returned before passivity normalization.
     """
-    if y_scale <= 0:
-        raise ValueError("y_scale must be positive")
-    samples = y.samples if hasattr(y, "samples") else np.asarray(y, dtype=complex)
-    err = _scaled_error(samples, y_scale)
+    err = _scaled_error(_samples(y), y_scale)
     return np.asarray(reflection, dtype=complex) + step * (cascaded.conj() @ err) / err.size
 
 
@@ -121,7 +111,7 @@ def sgd_step(reflection, cascaded: np.ndarray, y, y_scale: float, step: float,
     """Single-window stochastic variant of :func:`gradient_step`."""
     if y_scale <= 0:
         raise ValueError("y_scale must be positive")
-    samples = y.samples if hasattr(y, "samples") else np.asarray(y, dtype=complex)
+    samples = _samples(y)
     if not 0 <= window < samples.size:
         raise IndexError("window index out of range")
     err_k = (1.0 if window == 0 else 0.0) - samples[window] / y_scale
@@ -158,7 +148,7 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
     trace = AriseTrace()
     best_norm = -1.0
     quiet_count = 0
-    y = received_pulse(ch, reflection, 0.0, sample_period=env.sample_period)
+    y = received_pulse(ch, reflection, 0.0)
     trace.initial_objective = pulse_objective(y)
     trace.initial_objective_norm = pulse_objective_norm(y)
     obj_norm = trace.initial_objective_norm
@@ -167,9 +157,9 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
             best_norm = obj_norm
         reflection = normalize_reflection(
             gradient_step(reflection, ch.cascaded, y, y_scale, step))
-        y_next = received_pulse(ch, reflection, 0.0, sample_period=env.sample_period)
+        y_next = received_pulse(ch, reflection, 0.0)
         obj_next = pulse_objective(y_next)
-        obj_norm_next = pulse_objective_norm(y_next)
+        obj_norm_next = normalize_objective(obj_next, y_next)
         if obj_norm_next < best_norm - cfg.overshoot_tol:
             step /= 2.0
             best_norm = -1.0

@@ -23,9 +23,6 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# Unit interval of the 5G NR numerology used for constellation figures.
-DEFAULT_SAMPLE_PERIOD = 16.3e-9
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -61,10 +58,6 @@ class Geometry:
     @property
     def d_ru(self) -> float:
         return math.dist(self.ris_pos, self.ue_pos)
-
-    @property
-    def wavelength(self) -> float:
-        return self.light_speed / self.carrier_freq
 
     @property
     def azimuth_to_ue(self) -> float:
@@ -154,7 +147,6 @@ class PulseResponse:
     """Received samples y_0 .. y_L for a transmitted unit pulse."""
 
     samples: np.ndarray
-    sample_period: float = DEFAULT_SAMPLE_PERIOD
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -249,8 +241,8 @@ def sample_channels(rng: np.random.Generator, geometry: Geometry,
 
 
 def received_pulse(channel: ChannelRealization, reflection: np.ndarray,
-                   noise_power: float = 0.0, rng: np.random.Generator | None = None,
-                   sample_period: float = DEFAULT_SAMPLE_PERIOD) -> PulseResponse:
+                   noise_power: float = 0.0,
+                   rng: np.random.Generator | None = None) -> PulseResponse:
     """Pulse response y_k = direct_k + sum_m reflection_m * cascaded_{m,k} + n_k.
 
     The transmitted probe is the unit pulse, so convolution collapses to the
@@ -267,4 +259,4 @@ def received_pulse(channel: ChannelRealization, reflection: np.ndarray,
         if rng is None:
             raise ValueError("rng is required when noise_power > 0")
         samples = samples + complex_normal(rng, samples.shape, noise_power)
-    return PulseResponse(samples=samples, sample_period=sample_period)
+    return PulseResponse(samples=samples)

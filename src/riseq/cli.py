@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .agents import AGENTS
 from .experiments import (
     ConfigError,
     ScenarioConfig,
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-s", type=float, help="target-scale override")
 
     p = sub.add_parser("train", help="train a learning agent")
-    p.add_argument("agent", choices=["ddpg", "td3", "sac"])
+    p.add_argument("agent", choices=list(AGENTS))
     _add_common(p)
 
     p = sub.add_parser("baseline", help="evaluate a static baseline")

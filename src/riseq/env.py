@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
-    DEFAULT_SAMPLE_PERIOD,
     ChannelRealization,
     FadingParams,
     Geometry,
@@ -63,13 +62,18 @@ def pulse_objective(y) -> float:
     return float(np.sign(main) * main**2 - np.sum(np.abs(s[1:]) ** 2))
 
 
-def pulse_objective_norm(y) -> float:
-    """Objective normalized by total pulse energy; always in [-1, 1]."""
-    s = _samples(y)
-    energy = float(np.sum(np.abs(s) ** 2))
+def normalize_objective(objective: float, y) -> float:
+    """``objective`` over the energy of pulse ``y``, clamped to [-1, 1]: the energy
+    adds the squares in another order than pulse_objective, so the ratio can round past 1."""
+    energy = float(np.sum(np.abs(_samples(y)) ** 2))
     if energy == 0.0:
         raise ValueError("all-zero pulse has no normalized objective")
-    return pulse_objective(s) / energy
+    return min(max(objective / energy, -1.0), 1.0)
+
+
+def pulse_objective_norm(y) -> float:
+    """Objective normalized by total pulse energy; always in [-1, 1]."""
+    return normalize_objective(pulse_objective(y), y)
 
 
 def state_from_pulse(y) -> np.ndarray:
@@ -84,18 +88,24 @@ def state_from_pulse(y) -> np.ndarray:
     return state / peak
 
 
+def normalize_reflection(reflection: np.ndarray) -> np.ndarray:
+    """Project onto unit magnitudes; exactly zero entries map to 1."""
+    mags = np.abs(reflection)
+    return np.where(mags > 0, reflection / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
+
+
 def action_to_reflection(action) -> np.ndarray:
     """Pair up [Re_1, Im_1, ...] and project each coefficient to unit magnitude.
 
-    An exactly zero pair has no phase; it maps to 1 to stay passive.
+    An exactly zero pair has no phase; it maps to 1 to stay passive. A
+    non-finite entry (a diverged policy) is an error, not a surface.
     """
     action = np.asarray(action, dtype=float)
     if action.ndim != 1 or action.size % 2 != 0:
         raise ValueError("action must be a flat array of Re/Im pairs")
-    raw = action[0::2] + 1j * action[1::2]
-    mags = np.abs(raw)
-    out = np.where(mags > 0, raw / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
-    return out
+    if not np.all(np.isfinite(action)):
+        raise ValueError("action has non-finite entries: the agent has diverged")
+    return normalize_reflection(action[0::2] + 1j * action[1::2])
 
 
 def sinr_db(y, noise_power: float) -> float:
@@ -159,8 +169,7 @@ class RisEnv:
                  rng_noise: np.random.Generator | None = None,
                  rng_walk: np.random.Generator | None = None,
                  episode: EpisodeConfig | None = None,
-                 noise_enabled: bool = True,
-                 sample_period: float = DEFAULT_SAMPLE_PERIOD):
+                 noise_enabled: bool = True):
         self.geometry = geometry
         self.fading = fading
         self.episode = episode or EpisodeConfig()
@@ -168,7 +177,6 @@ class RisEnv:
         self.rng_noise = rng_noise
         self.rng_walk = rng_walk
         self.noise_enabled = noise_enabled
-        self.sample_period = sample_period
         self.channel: ChannelRealization | None = None
         self.last_pulse: PulseResponse | None = None
         if noise_enabled and rng_noise is None:
@@ -202,8 +210,7 @@ class RisEnv:
             raise RuntimeError("no active coherence block; call new_coherence_block")
         noisy = self.noise_enabled if with_noise is None else with_noise
         power = self.fading.noise_power if noisy else 0.0
-        return received_pulse(self.channel, reflection, power, self.rng_noise,
-                              sample_period=self.sample_period)
+        return received_pulse(self.channel, reflection, power, self.rng_noise)
 
     def step(self, reflection) -> tuple[np.ndarray, float]:
         """Apply a reflection vector; return the next state and its reward."""

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import arise
-from .agents import AgentHyperparams, DdpgAgent, SacAgent, Td3Agent, run_episode
+from .agents import AGENTS, AgentHyperparams, run_episode
 from .arise import AriseConfig
-from .channels import DEFAULT_SAMPLE_PERIOD, FadingParams, Geometry, received_pulse
+from .channels import FadingParams, Geometry
 from .env import EpisodeConfig, RisEnv, pulse_objective, pulse_objective_norm, \
     qpsk_constellation, sinr_db
 
-ALGORITHMS = ("arise", "ddpg", "td3", "sac", "random", "inverse")
+ALGORITHMS = ("arise", *AGENTS, "random", "inverse")
 STREAM_NAMES = ("channels", "noise", "walk", "agent", "policy", "qpsk")
 
 
@@ -48,7 +48,6 @@ class ScenarioConfig:
     seed: int = 0
     noise: bool = True
     move_ue: bool = True
-    sample_period: float = DEFAULT_SAMPLE_PERIOD
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -150,7 +149,6 @@ def render_config(cfg: ScenarioConfig) -> str:
         "seed": str(cfg.seed),
         "noise": _render_value(cfg.noise),
         "move_ue": _render_value(cfg.move_ue),
-        "sample_period": repr(cfg.sample_period),
     }
     for section, (attr, _) in _SECTIONS.items():
         obj = getattr(cfg, attr)
@@ -172,12 +170,12 @@ def parse_config(text: str) -> ScenarioConfig:
     for section, (attr, cls) in _SECTIONS.items():
         if not parser.has_section(section):
             continue
-        spec = {f.name: f for f in fields(cls)}
+        names, defaults = {f.name for f in fields(cls)}, cls()
         values = {}
         for key, raw in parser.items(section):
-            if key not in spec:
+            if key not in names:
                 raise ConfigError(f"{section}.{key}: unknown field")
-            default = getattr(cls(), spec[key].name)
+            default = getattr(defaults, key)
             kind = tuple if isinstance(default, tuple) else type(default)
             try:
                 values[key] = _parse_value(raw, kind)
@@ -190,7 +188,7 @@ def parse_config(text: str) -> ScenarioConfig:
     run_kwargs = {}
     if parser.has_section("run"):
         converters = {"algorithm": str, "episodes": int, "seed": int,
-                      "noise": bool, "move_ue": bool, "sample_period": float}
+                      "noise": bool, "move_ue": bool}
         for key, raw in parser.items("run"):
             if key not in converters:
                 raise ConfigError(f"run.{key}: unknown field")
@@ -221,22 +219,40 @@ def build_env(cfg: ScenarioConfig, streams: dict[str, np.random.Generator]) -> R
     return RisEnv(cfg.geometry, cfg.fading,
                   rng_channels=streams["channels"], rng_noise=streams["noise"],
                   rng_walk=streams["walk"] if cfg.move_ue else None,
-                  episode=cfg.episode, noise_enabled=cfg.noise,
-                  sample_period=cfg.sample_period)
+                  episode=cfg.episode, noise_enabled=cfg.noise)
 
 
 def make_agent(cfg: ScenarioConfig, env: RisEnv, rng: np.random.Generator):
-    cls = {"ddpg": DdpgAgent, "td3": Td3Agent, "sac": SacAgent}[cfg.algorithm]
-    return cls(env.state_dim, env.action_dim, cfg.agent, rng)
+    """The learning agent the config names; None for ARISE and the baselines."""
+    cls = AGENTS.get(cfg.algorithm)
+    return None if cls is None else cls(env.state_dim, env.action_dim, cfg.agent, rng)
 
 
-def _record(env: RisEnv, pulse, episode: int, step: int, algorithm: str,
-            started: float) -> RunRecord:
-    return RunRecord(episode=episode, step=step, algorithm=algorithm,
-                     objective=pulse_objective(pulse),
-                     objective_norm=pulse_objective_norm(pulse),
-                     sinr_db=sinr_db(pulse, env.fading.noise_power),
-                     wall_time=time.perf_counter() - started)
+def _metrics(env: RisEnv, pulse) -> tuple[float, float, float]:
+    return (pulse_objective(pulse), pulse_objective_norm(pulse),
+            sinr_db(pulse, env.fading.noise_power))
+
+
+def _play_block(cfg: ScenarioConfig, env: RisEnv, streams: dict, agent):
+    """Run the configured algorithm on the current block; return the last
+    surface and the (objective, normalized objective, SINR) rows: one per
+    agent step, one per ARISE iteration, one for a static baseline. ARISE's
+    last row re-measures its surface through the live (noisy) receiver.
+    """
+    if agent is not None:
+        trace = run_episode(agent, env, cfg.episode, streams["policy"])
+        return trace.final_reflection, list(zip(trace.objective, trace.objective_norm,
+                                                trace.sinr_db))
+    if cfg.algorithm == "arise":
+        reflection, trace = arise.run(env, config=cfg.arise)
+        rows = list(zip(trace.objective, trace.objective_norm, trace.sinr_db))
+        rows[-1] = _metrics(env, env.pulse(reflection))
+        return reflection, rows
+    if cfg.algorithm == "random":
+        reflection = arise.random_phases(streams["policy"], env.n_elements)
+    else:
+        reflection = arise.inverse_phases(env.channel.cascaded)
+    return reflection, [_metrics(env, env.pulse(reflection))]
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[RunRecord]:
@@ -250,44 +266,17 @@ def run_scenario(cfg: ScenarioConfig) -> list[RunRecord]:
     """
     streams = rng_streams(cfg.seed)
     env = build_env(cfg, streams)
-    agent = make_agent(cfg, env, streams["agent"]) if cfg.algorithm in \
-        ("ddpg", "td3", "sac") else None
+    agent = make_agent(cfg, env, streams["agent"])
     records: list[RunRecord] = []
     started = time.perf_counter()
     for episode in range(cfg.episodes):
         env.new_coherence_block(move_ue=cfg.move_ue)
-        if agent is not None:
-            trace = run_episode(agent, env, cfg.episode, streams["policy"])
-            for step in range(cfg.episode.n_steps):
-                records.append(RunRecord(
-                    episode=episode, step=step, algorithm=cfg.algorithm,
-                    objective=float(trace.objective[step]),
-                    objective_norm=float(trace.objective_norm[step]),
-                    sinr_db=float(trace.sinr_db[step]),
-                    wall_time=time.perf_counter() - started))
-        elif cfg.algorithm == "arise":
-            reflection, trace = arise.run(env, config=cfg.arise)
-            for step in range(trace.iterations):
-                records.append(RunRecord(
-                    episode=episode, step=step, algorithm="arise",
-                    objective=trace.objective[step],
-                    objective_norm=trace.objective_norm[step],
-                    sinr_db=trace.sinr_db[step],
-                    wall_time=time.perf_counter() - started))
-            # The converged surface is re-measured through the live (noisy)
-            # receiver for the episode's reported endpoint.
-            final = env.pulse(reflection)
-            records[-1] = replace(records[-1],
-                                  objective=pulse_objective(final),
-                                  objective_norm=pulse_objective_norm(final),
-                                  sinr_db=sinr_db(final, env.fading.noise_power))
-        else:
-            if cfg.algorithm == "random":
-                reflection = arise.random_phases(streams["policy"], env.n_elements)
-            else:
-                reflection = arise.inverse_phases(env.channel.cascaded)
-            records.append(_record(env, env.pulse(reflection), episode, 0,
-                                   cfg.algorithm, started))
+        _, rows = _play_block(cfg, env, streams, agent)
+        for step, (objective, objective_norm, sinr) in enumerate(rows):
+            records.append(RunRecord(
+                episode=episode, step=step, algorithm=cfg.algorithm,
+                objective=float(objective), objective_norm=float(objective_norm),
+                sinr_db=float(sinr), wall_time=time.perf_counter() - started))
     return records
 
 
@@ -300,17 +289,8 @@ def final_reflection(cfg: ScenarioConfig) -> np.ndarray:
     streams = rng_streams(cfg.seed)
     env = build_env(cfg, streams)
     env.new_coherence_block(move_ue=cfg.move_ue)
-    if cfg.algorithm == "arise":
-        reflection, _ = arise.run(env, config=cfg.arise)
-    elif cfg.algorithm == "random":
-        reflection = arise.random_phases(streams["policy"], env.n_elements)
-    elif cfg.algorithm == "inverse":
-        reflection = arise.inverse_phases(env.channel.cascaded)
-    else:
-        agent = make_agent(cfg, env, streams["agent"])
-        trace = run_episode(agent, env, cfg.episode, streams["policy"])
-        reflection = trace.final_reflection
-    return reflection
+    agent = make_agent(cfg, env, streams["agent"])
+    return _play_block(cfg, env, streams, agent)[0]
 
 
 def sweep(cfg: ScenarioConfig, axis: str, values,

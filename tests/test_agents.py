@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ def random_batch(b, state_dim, action_dim, seed=0):
 
 
 small_hp = AgentHyperparams(hidden_width=8)
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"init_temperature": 0.0}, "init_temperature must be positive"),
+        ({"init_temperature": -1.0}, "init_temperature must be positive"),
+        ({"batch_size": 401}, "batch_size must not exceed buffer_size"),
+        ({"discount": float("nan")}, "discount must be finite"),
+        ({"critic_lr": float("inf")}, "critic_lr must be finite"),
+    ])
+    def test_impossible_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            AgentHyperparams(**kwargs)
+
+    def test_batch_equal_to_buffer_accepted(self):
+        assert AgentHyperparams(batch_size=8, buffer_size=8).batch_size == 8
 
 
 class TestReplayBuffer:
@@ -483,6 +501,39 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @staticmethod
+    def edit_header(path, edit):
+        blob = path.read_bytes()
+        newline = blob.index(b"\n")
+        header = json.loads(blob[:newline])
+        payload = edit(header, blob[newline + 1:])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def test_header_listing_too_few_networks_rejected(self, tmp_path):
+        # a header and payload that agree with each other, but hold only the
+        # actor: loading them would leave the critics at their fresh weights
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(SacAgent(4, 2, AgentHyperparams(hidden_width=8), rng(96)), path)
+
+        def actor_only(header, payload):
+            header["nets"], header["net_bytes"] = ["actor"], header["net_bytes"][:1]
+            return payload[:header["net_bytes"][0]]
+        self.edit_header(path, actor_only)
+        with pytest.raises(ValueError, match="checkpoint networks"):
+            load_checkpoint(path)
+
+    def test_unknown_hyperparameter_named(self, tmp_path):
+        # checkpoints written while AgentHyperparams had reward_scale
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(Td3Agent(4, 2, AgentHyperparams(hidden_width=8), rng(97)), path)
+
+        def old_field(header, payload):
+            header["hyperparams"]["reward_scale"] = 100.0
+            return payload
+        self.edit_header(path, old_field)
+        with pytest.raises(ValueError, match="reward_scale"):
+            load_checkpoint(path)
+
 
 class TestRunEpisode:
     def test_static_policy_constant_trace(self):
@@ -506,6 +557,12 @@ class TestRunEpisode:
         trace = run_episode(agent, env, EpisodeConfig(n_steps=6), rng(55))
         stored = [e.reward for e in agent.buffer]
         assert np.allclose(stored, 100.0 * trace.objective_norm[:len(stored)])
+
+    def test_non_finite_action_stops_the_episode(self):
+        env = static_env()
+        agent = FixedAgent([np.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            run_episode(agent, env, EpisodeConfig(n_steps=5), rng(59), train=False)
 
     def test_training_runs_and_stays_finite(self):
         env = static_env(seed=56)

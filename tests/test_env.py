@@ -96,6 +96,11 @@ class TestActionToReflection:
             out = action_to_reflection(a)
             assert np.max(np.abs(np.abs(out) - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            action_to_reflection([1.0, 0.0, bad, 0.0])
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             action_to_reflection([1.0, 2.0, 3.0])

@@ -306,6 +306,34 @@ class TestCli:
         assert err.startswith("error: geometry.ue_pos") and err.count("\n") == 1
         assert "(20, 50)" in err and "30 m" in err and "walk_max_step = 20 m" in err
 
+    @pytest.mark.parametrize("line, section, key", [
+        ("sample_period = 1.63e-08", "move_ue = true", "run.sample_period"),
+        ("reward_scale = 100.0", "discount = 0.99", "agent.reward_scale"),
+    ])
+    def test_fields_removed_from_old_scenario_files(self, tmp_path, capsys, line,
+                                                    section, key):
+        # scenario.ini files written before these fields were deleted
+        text = render_config(desk_config()).replace(section, f"{section}\n{line}")
+        old = tmp_path / "old.ini"
+        old.write_text(text)
+        assert cli_main(["simulate", "--config", str(old),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {key}: unknown field\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("init_temperature = 0.75", "init_temperature = 0.0",
+         "init_temperature must be positive"),
+        ("batch_size = 4", "batch_size = 401", "batch_size must not exceed buffer_size"),
+        ("discount = 0.99", "discount = nan", "discount must be finite"),
+    ])
+    def test_impossible_agent_config_exit_code(self, tmp_path, capsys, old, new, message):
+        bad = tmp_path / "agent.ini"
+        bad.write_text(render_config(desk_config(algorithm="sac")).replace(old, new))
+        assert cli_main(["simulate", "--config", str(bad),
+                         "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: agent: {message}") and err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "nope.ini"),
                          "--out", str(tmp_path / "y")]) == 1
