@@ -15,9 +15,8 @@ streams = [np.random.Generator(np.random.PCG64(s))
            for s in np.random.SeedSequence(7).spawn(3)]
 geometry = Geometry(n_elements=32)
 fading = FadingParams(kappa=10.0, n_delayed=5)
-env = RisEnv(geometry, fading, rng_channels=streams[0], rng_noise=streams[1],
-             noise_enabled=False)
-channel = env.new_coherence_block(move_ue=False)
+env = RisEnv(geometry, fading, rng_channels=streams[0])  # no noise, no walk
+channel = env.new_coherence_block()
 noise_power = fading.noise_power
 
 print("Baselines on this block:")
@@ -33,7 +32,7 @@ for scale in (1.00, 0.50, 0.25, 0.10):
     reflection, trace = arise_run(env, config=AriseConfig(target_scale=scale))
     y = received_pulse(channel, reflection)
     print(f"  {scale:6.2f} {trace.iterations:6d} "
-          f"{trace.objective_norm[-1]:+8.3f} {abs(y.samples[0]):10.3e} "
+          f"{trace.objective_norm[-1]:+8.3f} {abs(y[0]):10.3e} "
           f"{sinr_db(y, noise_power):8.2f}")
 
 print("\nSmaller targets weight the ISI terms more heavily relative to the"

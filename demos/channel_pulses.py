@@ -48,7 +48,7 @@ settings = {
 noise_power = fading.noise_power
 for name, reflection in settings.items():
     y = received_pulse(channel, reflection)
-    print(f"  {name:15s}: |y0| = {abs(y.samples[0]):.3e}, "
+    print(f"  {name:15s}: |y0| = {abs(y[0]):.3e}, "
           f"score = {pulse_objective(y):+.3e}, "
           f"normalized = {pulse_objective_norm(y):+.3f}, "
           f"SINR = {sinr_db(y, noise_power):+6.2f} dB")

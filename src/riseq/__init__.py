@@ -12,7 +12,6 @@ from .channels import (
     ChannelRealization,
     FadingParams,
     Geometry,
-    PulseResponse,
     matrix_sqrt_psd,
     path_loss,
     received_pulse,
@@ -86,7 +85,6 @@ __all__ = [
     "EpisodeConfig",
     "FadingParams",
     "Geometry",
-    "PulseResponse",
     "RisEnv",
     "action_to_reflection",
     "inverse_phases",

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelRealization, received_pulse
-from .env import (RisEnv, _samples, normalize_objective, normalize_reflection,
-                  pulse_objective, pulse_objective_norm, sinr_db)
+from .env import (RisEnv, normalize_objective, normalize_reflection, pulse_objective,
+                  pulse_objective_norm, sinr_db)
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,13 @@ class AriseTrace:
     sinr_db: list[float] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
     initial_objective: float = 0.0
     initial_objective_norm: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        """Descent iterations run: one per entry of each per-iteration list."""
+        return len(self.objective)
 
 
 def _scaled_error(samples: np.ndarray, y_scale: float) -> np.ndarray:
@@ -102,7 +106,7 @@ def gradient_step(reflection, cascaded: np.ndarray, y, y_scale: float,
     update collapses to the mean of conj(cascaded tap) * error over taps.
     The result is returned before passivity normalization.
     """
-    err = _scaled_error(_samples(y), y_scale)
+    err = _scaled_error(np.asarray(y, dtype=complex), y_scale)
     return np.asarray(reflection, dtype=complex) + step * (cascaded.conj() @ err) / err.size
 
 
@@ -111,17 +115,15 @@ def sgd_step(reflection, cascaded: np.ndarray, y, y_scale: float, step: float,
     """Single-window stochastic variant of :func:`gradient_step`."""
     if y_scale <= 0:
         raise ValueError("y_scale must be positive")
-    samples = _samples(y)
+    samples = np.asarray(y, dtype=complex)
     if not 0 <= window < samples.size:
         raise IndexError("window index out of range")
     err_k = (1.0 if window == 0 else 0.0) - samples[window] / y_scale
     return np.asarray(reflection, dtype=complex) + step * cascaded[:, window].conj() * err_k
 
 
-def run(env: RisEnv, channel: ChannelRealization | None = None,
-        config: AriseConfig | None = None,
-        initial_reflection: np.ndarray | None = None) -> tuple[np.ndarray, AriseTrace]:
-    """Descend to convergence on one coherence block.
+def run(env: RisEnv, config: AriseConfig | None = None) -> tuple[np.ndarray, AriseTrace]:
+    """Descend from the all-ones surface to convergence on the environment's block.
 
     The initial pulse (observed through the environment, noise and all)
     freezes both the target level and the step size. Iterations then use
@@ -131,19 +133,15 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
     halves the step and resets the best-value tracker.
     """
     cfg = config or AriseConfig()
-    if channel is not None:
-        env.channel = channel
     ch = env.channel
     if ch is None:
         raise RuntimeError("environment has no active coherence block")
 
     m = ch.geometry.n_elements
-    reflection = (np.ones(m, dtype=complex) if initial_reflection is None
-                  else normalize_reflection(np.asarray(initial_reflection, dtype=complex)))
-
+    reflection = np.ones(m, dtype=complex)
     y0 = env.pulse(reflection)
-    step = cfg.step_scale * y0.samples.size / float(np.sum(np.abs(y0.samples)))
-    y_scale = cfg.target_scale * m * float(np.abs(y0.samples[0]))
+    step = cfg.step_scale * y0.size / float(np.sum(np.abs(y0)))
+    y_scale = cfg.target_scale * m * float(np.abs(y0[0]))
 
     trace = AriseTrace()
     best_norm = -1.0
@@ -171,7 +169,6 @@ def run(env: RisEnv, channel: ChannelRealization | None = None,
         trace.objective_norm.append(obj_norm_next)
         trace.sinr_db.append(sinr_db(y_next, ch.fading.noise_power))
         trace.step_sizes.append(step)
-        trace.iterations += 1
         y = y_next
         obj_norm = obj_norm_next
         if quiet_count >= 10:

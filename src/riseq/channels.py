@@ -7,7 +7,8 @@ as a uniform linear array. The direct BS-UE link is Rayleigh at every tap
 pure Rayleigh for the delayed taps, with sinc spatial correlation across
 elements. Everything lives at sample instants, so a channel realization is
 just its complex tap sequences. Reflection coefficients are applied later,
-when a pulse response is synthesized.
+when a pulse is synthesized: the received pulse is a plain 1-D complex
+array of its L+1 samples.
 
 Power bookkeeping is done in a consistent milliwatt system: dBm/dB figures
 are converted to linear factors 10^(x/10) and the transmitted probe pulse
@@ -17,7 +18,7 @@ has unit power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ class Geometry:
     element_spacing: float = 0.02
     n_elements: int = 100
     carrier_freq: float = 3.5e9
-    light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.n_elements < 1:
@@ -142,23 +142,6 @@ class ChannelRealization:
             raise ValueError("channel taps must be finite")
 
 
-@dataclass
-class PulseResponse:
-    """Received samples y_0 .. y_L for a transmitted unit pulse."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("pulse must be a nonempty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("pulse samples must be finite")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def path_loss(gain_db: float, distances, exponent: float) -> float:
     """Linear link gain 10^(gain_db/10) * prod(d_i^-exponent)."""
     distances = np.atleast_1d(np.asarray(distances, dtype=float))
@@ -168,21 +151,20 @@ def path_loss(gain_db: float, distances, exponent: float) -> float:
 
 
 def steering_vector(theta: float, n_elements: int, spacing: float,
-                    carrier_freq: float, light_speed: float = SPEED_OF_LIGHT) -> np.ndarray:
+                    carrier_freq: float) -> np.ndarray:
     """Unit-magnitude array response exp(j*m*omega), omega = 2*pi*d*(f/c)*sin(theta)."""
     if n_elements < 1:
         raise ValueError("n_elements must be >= 1")
-    omega = 2.0 * np.pi * spacing * (carrier_freq / light_speed) * np.sin(theta)
+    omega = 2.0 * np.pi * spacing * (carrier_freq / SPEED_OF_LIGHT) * np.sin(theta)
     return np.exp(1j * omega * np.arange(n_elements))
 
 
-def spatial_correlation(positions, carrier_freq: float,
-                        light_speed: float = SPEED_OF_LIGHT) -> np.ndarray:
+def spatial_correlation(positions, carrier_freq: float) -> np.ndarray:
     """Sinc correlation matrix sinc(2*|u_n - u_m| / wavelength), unit diagonal."""
     positions = np.asarray(positions, dtype=float)
     gaps = np.abs(positions[:, None] - positions[None, :])
     # np.sinc is the normalized sinc sin(pi x)/(pi x)
-    return np.sinc(2.0 * gaps * carrier_freq / light_speed)
+    return np.sinc(2.0 * gaps * carrier_freq / SPEED_OF_LIGHT)
 
 
 def matrix_sqrt_psd(r: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
@@ -224,12 +206,10 @@ def sample_channels(rng: np.random.Generator, geometry: Geometry,
     cascaded_gain = path_loss(fading.ris_gain_db, [geometry.d_br, geometry.d_ru],
                               fading.path_exp)
     corr_root = matrix_sqrt_psd(
-        spatial_correlation(geometry.element_positions(), geometry.carrier_freq,
-                            geometry.light_speed))
+        spatial_correlation(geometry.element_positions(), geometry.carrier_freq))
     scattered = complex_normal(rng, (geometry.n_elements, n_taps), variances[None, :])
     los = steering_vector(geometry.azimuth_to_ue, geometry.n_elements,
-                          geometry.element_spacing, geometry.carrier_freq,
-                          geometry.light_speed)
+                          geometry.element_spacing, geometry.carrier_freq)
     mixed = scattered.copy()
     k = fading.kappa
     mixed[:, 0] = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scattered[:, 0]
@@ -242,12 +222,13 @@ def sample_channels(rng: np.random.Generator, geometry: Geometry,
 
 def received_pulse(channel: ChannelRealization, reflection: np.ndarray,
                    noise_power: float = 0.0,
-                   rng: np.random.Generator | None = None) -> PulseResponse:
-    """Pulse response y_k = direct_k + sum_m reflection_m * cascaded_{m,k} + n_k.
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """Received samples y_k = direct_k + sum_m reflection_m * cascaded_{m,k} + n_k.
 
     The transmitted probe is the unit pulse, so convolution collapses to the
-    tap sequences themselves. Noise is circularly symmetric complex Gaussian
-    with total variance ``noise_power``, regenerated on every call.
+    tap sequences themselves, and the pulse is the complex array y_0 .. y_L.
+    Noise is circularly symmetric complex Gaussian with total variance
+    ``noise_power``, regenerated on every call.
     """
     reflection = np.asarray(reflection, dtype=complex)
     if reflection.shape != (channel.geometry.n_elements,):
@@ -259,4 +240,6 @@ def received_pulse(channel: ChannelRealization, reflection: np.ndarray,
         if rng is None:
             raise ValueError("rng is required when noise_power > 0")
         samples = samples + complex_normal(rng, samples.shape, noise_power)
-    return PulseResponse(samples=samples)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("pulse samples must be finite")
+    return samples

@@ -4,7 +4,8 @@ One episode corresponds to one channel coherence block. The environment
 holds the current block, applies reflection vectors, and reports the pulse
 quality metric that doubles as the reward for the learning agents: signed
 main-tap power minus total ISI power, optionally normalized by the pulse
-energy so it lands in [-1, 1].
+energy so it lands in [-1, 1]. A pulse is the complex array of its L+1
+received samples, and every metric here takes one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .channels import (
     ChannelRealization,
     FadingParams,
     Geometry,
-    PulseResponse,
     complex_normal,
     received_pulse,
     sample_channels,
@@ -25,6 +25,7 @@ from .channels import (
 
 DEFAULT_WALK_BOUNDS = (-100.0, -100.0, -10.0, 100.0)
 DEFAULT_WALK_MAX_STEP = 20.0
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,6 @@ class EpisodeConfig:
             raise ValueError("walk_bounds must describe a nonempty rectangle")
 
 
-def _samples(y) -> np.ndarray:
-    if isinstance(y, PulseResponse):
-        return y.samples
-    return np.asarray(y, dtype=complex)
-
-
 def pulse_objective(y) -> float:
     """Signed main-tap power minus ISI power.
 
@@ -57,7 +52,7 @@ def pulse_objective(y) -> float:
     correctly phased real peak at the sampling origin and penalizes all
     delayed energy.
     """
-    s = _samples(y)
+    s = np.asarray(y, dtype=complex)
     main = s[0].real
     return float(np.sign(main) * main**2 - np.sum(np.abs(s[1:]) ** 2))
 
@@ -65,7 +60,7 @@ def pulse_objective(y) -> float:
 def normalize_objective(objective: float, y) -> float:
     """``objective`` over the energy of pulse ``y``, clamped to [-1, 1]: the energy
     adds the squares in another order than pulse_objective, so the ratio can round past 1."""
-    energy = float(np.sum(np.abs(_samples(y)) ** 2))
+    energy = float(np.sum(np.abs(np.asarray(y, dtype=complex)) ** 2))
     if energy == 0.0:
         raise ValueError("all-zero pulse has no normalized objective")
     return min(max(objective / energy, -1.0), 1.0)
@@ -78,7 +73,7 @@ def pulse_objective_norm(y) -> float:
 
 def state_from_pulse(y) -> np.ndarray:
     """Interleaved Re/Im pulse array scaled by its max magnitude into [-1, 1]."""
-    s = _samples(y)
+    s = np.asarray(y, dtype=complex)
     state = np.empty(2 * s.size)
     state[0::2] = s.real
     state[1::2] = s.imag
@@ -89,9 +84,21 @@ def state_from_pulse(y) -> np.ndarray:
 
 
 def normalize_reflection(reflection: np.ndarray) -> np.ndarray:
-    """Project onto unit magnitudes; exactly zero entries map to 1."""
+    """Project onto unit magnitudes; exactly zero entries map to 1.
+
+    z / |z| is inf+nanj for a subnormal modulus and 0 for one that
+    overflows, so those entries are first brought into range by an exact
+    power of two, which leaves their phase as it is.
+    """
+    reflection = np.asarray(reflection, dtype=complex)
     mags = np.abs(reflection)
-    return np.where(mags > 0, reflection / np.where(mags > 0, mags, 1.0), 1.0 + 0j)
+    if mags.size == 0 or (mags.min() >= _TINY and mags.max() < np.inf):
+        return reflection / mags
+    reflection = reflection * np.where(mags < _TINY, 2.0**600,
+                                       np.where(mags == np.inf, 2.0**-600, 1.0))
+    mags = np.abs(reflection)
+    nonzero = mags > 0
+    return np.where(nonzero, reflection / np.where(nonzero, mags, 1.0), 1.0 + 0j)
 
 
 def action_to_reflection(action) -> np.ndarray:
@@ -110,7 +117,7 @@ def action_to_reflection(action) -> np.ndarray:
 
 def sinr_db(y, noise_power: float) -> float:
     """Main-tap power over ISI-plus-noise power, in dB."""
-    s = _samples(y)
+    s = np.asarray(y, dtype=complex)
     isi = float(np.sum(np.abs(s[1:]) ** 2))
     denom = isi + noise_power
     if denom <= 0:
@@ -144,7 +151,7 @@ def qpsk_constellation(y, n_symbols: int, noise_power: float,
     is added; the first L outputs are dropped as warm-up so every returned
     sample sees the full tap history.
     """
-    s = _samples(y)
+    s = np.asarray(y, dtype=complex)
     n_isi = s.size - 1
     if n_symbols < s.size:
         raise ValueError("n_symbols must be at least the pulse length")
@@ -160,27 +167,25 @@ class RisEnv:
     """One coherence block at a time; probes the channel with unit pulses.
 
     Separate generators drive channel draws, receiver noise, and the user's
-    random walk so that runs are reproducible stream by stream. ``step``
-    draws fresh noise on every call unless noise is disabled.
+    random walk so that runs are reproducible stream by stream. Each
+    optional stream is also its switch: with ``rng_noise`` every pulse
+    carries fresh receiver noise, and with ``rng_walk`` the user takes one
+    walk step before each new block. Pulses are complex sample arrays.
     """
 
     def __init__(self, geometry: Geometry, fading: FadingParams, *,
                  rng_channels: np.random.Generator,
                  rng_noise: np.random.Generator | None = None,
                  rng_walk: np.random.Generator | None = None,
-                 episode: EpisodeConfig | None = None,
-                 noise_enabled: bool = True):
+                 episode: EpisodeConfig | None = None):
         self.geometry = geometry
         self.fading = fading
         self.episode = episode or EpisodeConfig()
         self.rng_channels = rng_channels
         self.rng_noise = rng_noise
         self.rng_walk = rng_walk
-        self.noise_enabled = noise_enabled
         self.channel: ChannelRealization | None = None
-        self.last_pulse: PulseResponse | None = None
-        if noise_enabled and rng_noise is None:
-            raise ValueError("rng_noise is required while noise is enabled")
+        self.last_pulse: np.ndarray | None = None
 
     @property
     def n_elements(self) -> int:
@@ -194,9 +199,9 @@ class RisEnv:
     def action_dim(self) -> int:
         return 2 * self.geometry.n_elements
 
-    def new_coherence_block(self, move_ue: bool = True) -> ChannelRealization:
-        """Redraw all channels; optionally move the user first."""
-        if move_ue and self.rng_walk is not None:
+    def new_coherence_block(self) -> ChannelRealization:
+        """Redraw all channels, after one walk step of a walking user."""
+        if self.rng_walk is not None:
             pos = random_walk_step(self.rng_walk, self.geometry.ue_pos,
                                    self.episode.walk_bounds,
                                    self.episode.walk_max_step)
@@ -204,11 +209,12 @@ class RisEnv:
         self.channel = sample_channels(self.rng_channels, self.geometry, self.fading)
         return self.channel
 
-    def pulse(self, reflection, with_noise: bool | None = None) -> PulseResponse:
-        """Synthesize the received pulse for a reflection vector."""
+    def pulse(self, reflection, with_noise: bool = True) -> np.ndarray:
+        """Synthesize the received pulse for a reflection vector; it is
+        noiseless without a noise stream or with ``with_noise=False``."""
         if self.channel is None:
             raise RuntimeError("no active coherence block; call new_coherence_block")
-        noisy = self.noise_enabled if with_noise is None else with_noise
+        noisy = with_noise and self.rng_noise is not None
         power = self.fading.noise_power if noisy else 0.0
         return received_pulse(self.channel, reflection, power, self.rng_noise)
 

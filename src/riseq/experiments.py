@@ -216,10 +216,10 @@ def save_config(cfg: ScenarioConfig, path) -> None:
 # scenario execution
 
 def build_env(cfg: ScenarioConfig, streams: dict[str, np.random.Generator]) -> RisEnv:
-    return RisEnv(cfg.geometry, cfg.fading,
-                  rng_channels=streams["channels"], rng_noise=streams["noise"],
+    return RisEnv(cfg.geometry, cfg.fading, rng_channels=streams["channels"],
+                  rng_noise=streams["noise"] if cfg.noise else None,
                   rng_walk=streams["walk"] if cfg.move_ue else None,
-                  episode=cfg.episode, noise_enabled=cfg.noise)
+                  episode=cfg.episode)
 
 
 def make_agent(cfg: ScenarioConfig, env: RisEnv, rng: np.random.Generator):
@@ -270,7 +270,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[RunRecord]:
     records: list[RunRecord] = []
     started = time.perf_counter()
     for episode in range(cfg.episodes):
-        env.new_coherence_block(move_ue=cfg.move_ue)
+        env.new_coherence_block()
         _, rows = _play_block(cfg, env, streams, agent)
         for step, (objective, objective_norm, sinr) in enumerate(rows):
             records.append(RunRecord(
@@ -288,7 +288,7 @@ def final_reflection(cfg: ScenarioConfig) -> np.ndarray:
     """
     streams = rng_streams(cfg.seed)
     env = build_env(cfg, streams)
-    env.new_coherence_block(move_ue=cfg.move_ue)
+    env.new_coherence_block()
     agent = make_agent(cfg, env, streams["agent"])
     return _play_block(cfg, env, streams, agent)[0]
 
@@ -376,7 +376,7 @@ def emit_constellation(cfg: ScenarioConfig, reflection, n_symbols: int, path,
     if env is None:
         streams = rng_streams(cfg.seed)
         env = build_env(cfg, streams)
-        env.new_coherence_block(move_ue=cfg.move_ue)
+        env.new_coherence_block()
         rng = streams["qpsk"]
     else:
         rng = rng_streams(cfg.seed)["qpsk"]

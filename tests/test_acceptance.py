@@ -56,8 +56,7 @@ def make_block(m, kappa, n_delayed, seed):
                for s in np.random.SeedSequence([420, seed]).spawn(3)]
     geom = Geometry(n_elements=m)
     fading = FadingParams(kappa=kappa, n_delayed=n_delayed)
-    env = RisEnv(geom, fading, rng_channels=streams[0], rng_walk=streams[1],
-                 noise_enabled=False)
+    env = RisEnv(geom, fading, rng_channels=streams[0], rng_walk=streams[1])
     env.new_coherence_block()
     return env, streams[2]
 
@@ -143,7 +142,7 @@ def test_criterion_4_target_scale_tradeoff():
         for scale in (0.10, 1.00):
             refl, trace = arise.run(env, config=AriseConfig(target_scale=scale))
             eq_norm[scale].append(trace.objective_norm[-1])
-            y = received_pulse(env.channel, refl).samples
+            y = received_pulse(env.channel, refl)
             snr_noise[scale].append(10 * np.log10(y[0].real**2 / noise_power))
             snr_isi[scale].append(sinr_db(y, noise_power))
     med = {s: float(np.median(v)) for s, v in eq_norm.items()}
@@ -167,7 +166,7 @@ def test_criterion_5_coherent_sum():
         ch = sample_channels(rng(50 + m), geom, fading)
         ch.direct[:] = 0.0
         y = received_pulse(ch, arise.inverse_phases(ch.cascaded))
-        worst = max(worst, abs(abs(y.samples[0]) - m * np.sqrt(ch.cascaded_gain)))
+        worst = max(worst, abs(abs(y[0]) - m * np.sqrt(ch.cascaded_gain)))
     report(5, "inverse phases coherent-sum closed form at 1e-9",
            worst <= 1e-9, started, f"worst abs err {worst:.2e}")
 

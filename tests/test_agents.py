@@ -435,8 +435,8 @@ class TestSac:
 def static_env(m=2, n_delayed=1, seed=50):
     geom = Geometry(n_elements=m)
     fading = FadingParams(n_delayed=n_delayed)
-    env = RisEnv(geom, fading, rng_channels=rng(seed), noise_enabled=False)
-    env.new_coherence_block(move_ue=False)
+    env = RisEnv(geom, fading, rng_channels=rng(seed))
+    env.new_coherence_block()
     return env
 
 

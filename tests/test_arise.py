@@ -47,7 +47,7 @@ class TestGradientStep:
     def test_zero_step_is_identity(self):
         ch = random_channel(seed=2)
         g = np.exp(1j * rng(3).uniform(-np.pi, np.pi, 4))
-        y = received_pulse(ch, g).samples
+        y = received_pulse(ch, g)
         assert np.allclose(arise.gradient_step(g, ch.cascaded, y, 1.0, 0.0), g)
 
     def test_single_element_single_tap_closed_form(self):
@@ -65,7 +65,7 @@ class TestGradientStep:
         ch = random_channel(m=4, n_delayed=3, seed=4)
         g = rng(5).normal(size=4) + 1j * rng(6).normal(size=4)
         y_scale = 1.7
-        y = received_pulse(ch, g).samples
+        y = received_pulse(ch, g)
         step = 0.9
         update = arise.gradient_step(g, ch.cascaded, y, y_scale, step) - g
         gre, gim = arise.cost_gradient(g, ch, y_scale)
@@ -101,7 +101,7 @@ class TestSgdStep:
     def test_zero_window_error_is_identity(self):
         ch = random_channel(seed=20)
         g = np.exp(1j * rng(21).uniform(-np.pi, np.pi, 4))
-        y = received_pulse(ch, g).samples.copy()
+        y = received_pulse(ch, g)
         y[3] = 0.0  # window 3 error is exactly zero (s_3 = 0)
         out = arise.sgd_step(g, ch.cascaded, y, 1.0, 0.5, window=3)
         assert np.allclose(out, g)
@@ -109,7 +109,7 @@ class TestSgdStep:
     def test_mean_of_windows_equals_full_step(self):
         ch = random_channel(seed=22)
         g = np.exp(1j * rng(23).uniform(-np.pi, np.pi, 4))
-        y = received_pulse(ch, g).samples
+        y = received_pulse(ch, g)
         full = arise.gradient_step(g, ch.cascaded, y, 1.5, 0.8)
         singles = [arise.sgd_step(g, ch.cascaded, y, 1.5, 0.8, window=k)
                    for k in range(y.size)]
@@ -126,20 +126,20 @@ class TestSgdStep:
         geom = Geometry(n_elements=8)
         fading = FadingParams(n_delayed=2, kappa=10.0)
         ch = sample_channels(rng(24), geom, fading)
-        env = RisEnv(geom, fading, rng_channels=rng(25), noise_enabled=False)
+        env = RisEnv(geom, fading, rng_channels=rng(25))
         env.channel = ch
         cfg = AriseConfig(target_scale=0.10)
         full_refl, full_trace = arise.run(env, config=cfg)
 
         g = np.ones(8, dtype=complex)
-        y = received_pulse(ch, g).samples
+        y = received_pulse(ch, g)
         step = cfg.step_scale * y.size / np.sum(np.abs(y))
         y_scale = cfg.target_scale * 8 * np.abs(y[0])
         n_taps = y.size
         for i in range(4000):
             g = arise.normalize_reflection(
                 arise.sgd_step(g, ch.cascaded, y, y_scale, step, window=i % n_taps))
-            y = received_pulse(ch, g).samples
+            y = received_pulse(ch, g)
         sgd_final = pulse_objective_norm(y)
         assert abs(sgd_final - full_trace.objective_norm[-1]) <= 0.05
 
@@ -153,7 +153,7 @@ class TestRun:
         fading = FadingParams(kappa=1e12, n_delayed=0)
         ch = sample_channels(rng(30), geom, fading)
         ch.direct[:] = 0.0
-        env = RisEnv(geom, fading, rng_channels=rng(31), noise_enabled=False)
+        env = RisEnv(geom, fading, rng_channels=rng(31))
         env.channel = ch
         refl, trace = arise.run(env, config=AriseConfig(target_scale=0.5))
         assert trace.converged
@@ -165,7 +165,7 @@ class TestRun:
         geom = Geometry(n_elements=8)
         fading = FadingParams(n_delayed=2)
         env = RisEnv(geom, fading, rng_channels=rng(32), rng_noise=rng(33))
-        env.new_coherence_block(move_ue=False)
+        env.new_coherence_block()
         refl, _ = arise.run(env, config=AriseConfig())
         assert np.max(np.abs(np.abs(refl) - 1.0)) <= 1e-12
 
@@ -185,8 +185,8 @@ class TestRun:
         # an absurd step scale forces an overshoot past the drop tolerance
         geom = Geometry(n_elements=16)
         fading = FadingParams(kappa=10.0, n_delayed=3)
-        env = RisEnv(geom, fading, rng_channels=rng(40), noise_enabled=False)
-        env.new_coherence_block(move_ue=False)
+        env = RisEnv(geom, fading, rng_channels=rng(40))
+        env.new_coherence_block()
         cfg = AriseConfig(target_scale=0.10, step_scale=1e4, max_iters=200)
         _, trace = arise.run(env, config=cfg)
         steps = np.array(trace.step_sizes)
@@ -199,7 +199,7 @@ class TestRun:
         for seed in range(3):
             ch = sample_channels(rng(50 + seed), geom, fading)
             g = np.ones(8, dtype=complex)
-            y0 = received_pulse(ch, g).samples
+            y0 = received_pulse(ch, g)
             step = 0.1 * y0.size / np.sum(np.abs(y0))  # alpha_mu = 0.1
             y_scale = 0.5 * 8 * np.abs(y0[0])
             costs = []
@@ -207,7 +207,7 @@ class TestRun:
             for _ in range(50):
                 costs.append(arise.cost(g, ch, y_scale))
                 g = arise.gradient_step(g, ch.cascaded, y, y_scale, step)
-                y = received_pulse(ch, g).samples
+                y = received_pulse(ch, g)
             costs.append(arise.cost(g, ch, y_scale))
             diffs = np.diff(costs)
             assert np.all(diffs <= 1e-12)
@@ -215,8 +215,8 @@ class TestRun:
     def test_trace_bounded_by_max_iters(self):
         geom = Geometry(n_elements=4)
         fading = FadingParams(n_delayed=2)
-        env = RisEnv(geom, fading, rng_channels=rng(60), noise_enabled=False)
-        env.new_coherence_block(move_ue=False)
+        env = RisEnv(geom, fading, rng_channels=rng(60))
+        env.new_coherence_block()
         _, trace = arise.run(env, config=AriseConfig(max_iters=7, conv_tol=1e-30))
         assert trace.iterations == 7 and not trace.converged
 
@@ -267,7 +267,7 @@ class TestBaselines:
             ch = sample_channels(rng(74), geom, fading)
             ch.direct[:] = 0.0
             y = received_pulse(ch, arise.inverse_phases(ch.cascaded))
-            assert abs(abs(y.samples[0]) - m * np.sqrt(ch.cascaded_gain)) <= 1e-9
+            assert abs(abs(y[0]) - m * np.sqrt(ch.cascaded_gain)) <= 1e-9
 
 
 class TestConfigValidation:

@@ -5,7 +5,6 @@ from riseq.channels import (
     ChannelRealization,
     FadingParams,
     Geometry,
-    PulseResponse,
     SPEED_OF_LIGHT,
     matrix_sqrt_psd,
     path_loss,
@@ -176,12 +175,12 @@ class TestReceivedPulse:
         ch = sample_channels(rng(9), Geometry(n_elements=1),
                              FadingParams(n_delayed=0))
         y = received_pulse(ch, np.ones(1))
-        assert y.samples[0] == pytest.approx(ch.direct[0] + ch.cascaded[0, 0])
+        assert y[0] == pytest.approx(ch.direct[0] + ch.cascaded[0, 0])
 
     def test_zero_reflection_removes_surface(self):
         ch = self.make_channel()
         y = received_pulse(ch, np.zeros(4))
-        assert np.allclose(y.samples, ch.direct)
+        assert np.allclose(y, ch.direct)
 
     def test_affine_in_reflection(self):
         ch = self.make_channel(seed=10)
@@ -189,23 +188,23 @@ class TestReceivedPulse:
         for _ in range(10):
             ga = r.normal(size=4) + 1j * r.normal(size=4)
             gb = r.normal(size=4) + 1j * r.normal(size=4)
-            ya = received_pulse(ch, ga).samples
-            yb = received_pulse(ch, gb).samples
-            y0 = received_pulse(ch, np.zeros(4)).samples
-            yab = received_pulse(ch, ga + gb).samples
+            ya = received_pulse(ch, ga)
+            yb = received_pulse(ch, gb)
+            y0 = received_pulse(ch, np.zeros(4))
+            yab = received_pulse(ch, ga + gb)
             assert np.max(np.abs(ya + yb - y0 - yab)) <= 1e-12
 
     def test_matrix_form(self):
         ch = self.make_channel(seed=12)
         g = rng(13).normal(size=4) + 1j * rng(14).normal(size=4)
-        y = received_pulse(ch, g).samples
+        y = received_pulse(ch, g)
         assert np.allclose(y, ch.direct + g @ ch.cascaded, atol=1e-15)
 
     def test_noise_statistics(self):
         ch = self.make_channel(m=1, n_delayed=0, seed=15)
         r = rng(16)
         noise_power = 1e-3
-        draws = np.array([received_pulse(ch, np.ones(1), noise_power, r).samples[0]
+        draws = np.array([received_pulse(ch, np.ones(1), noise_power, r)[0]
                           for _ in range(20_000)])
         clean = ch.direct[0] + ch.cascaded[0, 0]
         est = np.mean(np.abs(draws - clean) ** 2)
@@ -215,6 +214,11 @@ class TestReceivedPulse:
         ch = self.make_channel()
         with pytest.raises(ValueError):
             received_pulse(ch, np.ones(3))
+
+    def test_non_finite_pulse_rejected(self):
+        ch = self.make_channel()
+        with pytest.raises(ValueError, match="pulse samples must be finite"):
+            received_pulse(ch, np.array([np.nan, 1.0, 1.0, 1.0]))
 
     def test_noise_requires_rng(self):
         ch = self.make_channel()
@@ -236,12 +240,6 @@ class TestValidation:
             FadingParams(kappa=-1.0)
         assert FadingParams(n_delayed=4).n_isi == 8
         assert FadingParams().tap_variances()[0] == 1.0
-
-    def test_pulse_response_validation(self):
-        with pytest.raises(ValueError):
-            PulseResponse(samples=np.array([]))
-        with pytest.raises(ValueError):
-            PulseResponse(samples=np.array([np.nan + 0j]))
 
     def test_channel_realization_validation(self):
         geom = Geometry(n_elements=2)

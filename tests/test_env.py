@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riseq.channels import ChannelRealization, FadingParams, Geometry, PulseResponse
+from riseq.channels import ChannelRealization, FadingParams, Geometry
 from riseq.env import (
     EpisodeConfig,
     RisEnv,
@@ -28,10 +28,6 @@ class TestObjective:
 
     def test_isi_penalty(self):
         assert pulse_objective(np.array([1, 0.5j])) == pytest.approx(0.75)
-
-    def test_accepts_pulse_response(self):
-        y = PulseResponse(samples=np.array([1.0, 0.0], dtype=complex))
-        assert pulse_objective(y) == 1.0
 
 
 class TestObjectiveNorm:
@@ -185,8 +181,8 @@ class TestQpsk:
 def make_env(noise=True, m=4, n_delayed=2, seed=10):
     geom = Geometry(n_elements=m)
     fading = FadingParams(n_delayed=n_delayed)
-    return RisEnv(geom, fading, rng_channels=rng(seed), rng_noise=rng(seed + 1),
-                  rng_walk=rng(seed + 2), noise_enabled=noise)
+    return RisEnv(geom, fading, rng_channels=rng(seed),
+                  rng_noise=rng(seed + 1) if noise else None, rng_walk=rng(seed + 2))
 
 
 class TestRisEnv:
@@ -215,7 +211,7 @@ class TestRisEnv:
                                 cascaded=np.array([[tap]]),
                                 direct_gain=1.0, cascaded_gain=0.49,
                                 geometry=geom, fading=fading)
-        env = RisEnv(geom, fading, rng_channels=rng(13), noise_enabled=False)
+        env = RisEnv(geom, fading, rng_channels=rng(13))
         env.channel = ch
         _, reward = env.step(np.array([np.exp(-1j * 1.3)]))
         assert reward == pytest.approx(1.0)

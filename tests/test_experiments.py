@@ -221,8 +221,7 @@ class TestConstellation:
         geom = Geometry(n_elements=1)
         fading = FadingParams(n_delayed=0)
         cfg = desk_config(geometry=geom, fading=fading, noise=False)
-        env = RisEnv(geom, fading, rng_channels=rng_streams(0)["channels"],
-                     noise_enabled=False)
+        env = RisEnv(geom, fading, rng_channels=rng_streams(0)["channels"])
         env.channel = ChannelRealization(
             direct=np.zeros(1, dtype=complex), cascaded=np.array([[1.0 + 0j]]),
             direct_gain=1.0, cascaded_gain=1.0, geometry=geom, fading=fading)
@@ -309,6 +308,7 @@ class TestCli:
     @pytest.mark.parametrize("line, section, key", [
         ("sample_period = 1.63e-08", "move_ue = true", "run.sample_period"),
         ("reward_scale = 100.0", "discount = 0.99", "agent.reward_scale"),
+        ("light_speed = 299792458.0", "carrier_freq = 3500000000.0", "geometry.light_speed"),
     ])
     def test_fields_removed_from_old_scenario_files(self, tmp_path, capsys, line,
                                                     section, key):
